@@ -197,6 +197,9 @@ func (p *PerWorker) Reset() {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]Counter
+	// order lists the counters in registration order; Snapshot reads it
+	// backwards (see there).
+	order []Counter
 }
 
 // NewRegistry returns an empty registry.
@@ -212,6 +215,7 @@ func (r *Registry) Register(c Counter) error {
 		return fmt.Errorf("counters: duplicate registration of %q", c.Name())
 	}
 	r.counters[c.Name()] = c
+	r.order = append(r.order, c)
 	return nil
 }
 
@@ -254,8 +258,8 @@ func (r *Registry) Names() []string {
 
 // Snapshot reads every counter at (approximately) one instant.
 //
-// Weak-consistency contract: each counter is read once, in map-iteration
-// order, with no global epoch — counters updated concurrently may be
+// Weak-consistency contract: each counter is read once, with no global
+// epoch — counters updated concurrently may be
 // observed at slightly different moments within the same snapshot, so two
 // counters in one Snapshot are individually exact but not mutually atomic
 // (a derived ratio read here may disagree in the last digit with the same
@@ -264,12 +268,19 @@ func (r *Registry) Names() []string {
 // consumer. Consumers that turn deltas into rates should use SnapshotAt and
 // divide by the *real* elapsed time between sample stamps, never by an
 // assumed sampling interval.
+//
+// Counters are read in reverse registration order. Writers of a paired
+// counter bump the one registered first before the one registered after it
+// (a queue probe counts its access, then its miss), so reading the later one
+// first keeps every such pair ordered within one snapshot: misses ≤
+// accesses holds in every Snapshot, not just at quiescence.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	s := make(Snapshot, len(r.counters))
-	for n, c := range r.counters {
-		s[n] = c.Value()
+	s := make(Snapshot, len(r.order))
+	for i := len(r.order) - 1; i >= 0; i-- {
+		c := r.order[i]
+		s[c.Name()] = c.Value()
 	}
 	return s
 }

@@ -18,75 +18,126 @@ import (
 	"taskgrain/internal/taskrt"
 )
 
-// shared is the state cell behind a Future/Promise pair.
-type shared[T any] struct {
-	mu        sync.Mutex
-	done      bool
-	value     T
-	callbacks []func(T)
-	ch        chan struct{} // lazily created for blocking waiters
+// waiter is a completion target registered on a Future: a Dataflow or
+// WhenAll join, a blocked Wait, or an OnReady callback. Registering one
+// stores an interface value in the cell, never a per-edge closure.
+type waiter[T any] interface {
+	ready(v T)
 }
 
-// Future is a read handle on an eventually-available value.
+// funcWaiter adapts an OnReady callback.
+type funcWaiter[T any] func(T)
+
+func (fn funcWaiter[T]) ready(v T) { fn(v) }
+
+// chanWaiter wakes a goroutine blocked in Wait.
+type chanWaiter[T any] chan struct{}
+
+func (c chanWaiter[T]) ready(T) { close(c) }
+
+// inlineWaiters is how many waiters a Future holds without allocating. The
+// stencil's partition futures have exactly three dependents.
+const inlineWaiters = 3
+
+// Future is a read handle on an eventually-available value. It is also the
+// value's state cell, so a promise/future pair is one allocation.
 type Future[T any] struct {
-	st *shared[T]
+	mu      sync.Mutex
+	done    bool
+	value   T
+	waiters [inlineWaiters]waiter[T]
+	more    *[]waiter[T] // waiters beyond the inline ones
 }
 
 // Promise is the write handle paired with a Future.
 type Promise[T any] struct {
-	st  *shared[T]
-	set atomic.Bool
+	f Future[T]
 }
 
 // NewPromise creates a connected promise/future pair.
 func NewPromise[T any]() (*Promise[T], *Future[T]) {
-	st := &shared[T]{}
-	return &Promise[T]{st: st}, &Future[T]{st: st}
+	p := &Promise[T]{}
+	return p, &p.f
 }
 
 // Ready returns an already-completed future holding v.
 func Ready[T any](v T) *Future[T] {
-	st := &shared[T]{done: true, value: v}
-	return &Future[T]{st: st}
+	return &Future[T]{done: true, value: v}
 }
 
 // Set completes the future with v, running registered callbacks
 // synchronously on the calling goroutine (typically the worker that finished
 // producing the value, as in HPX). Setting a promise twice panics.
-func (p *Promise[T]) Set(v T) {
-	if !p.set.CompareAndSwap(false, true) {
+func (p *Promise[T]) Set(v T) { p.f.set(v) }
+
+// set stores v and fires every registered waiter in registration order.
+func (f *Future[T]) set(v T) {
+	f.mu.Lock()
+	if f.done {
+		f.mu.Unlock()
 		panic("future: promise set twice")
 	}
-	st := p.st
-	st.mu.Lock()
-	st.value = v
-	st.done = true
-	cbs := st.callbacks
-	st.callbacks = nil
-	ch := st.ch
-	st.mu.Unlock()
-	if ch != nil {
-		close(ch)
+	f.value = v
+	f.done = true
+	ws := f.waiters
+	more := f.more
+	f.waiters = [inlineWaiters]waiter[T]{}
+	f.more = nil
+	f.mu.Unlock()
+	for _, w := range ws {
+		if w == nil {
+			break
+		}
+		w.ready(v)
 	}
-	for _, cb := range cbs {
-		cb(v)
+	if more != nil {
+		for _, w := range *more {
+			w.ready(v)
+		}
 	}
+}
+
+// addLocked appends w to the waiters; f.mu must be held and f not done.
+func (f *Future[T]) addLocked(w waiter[T]) {
+	for i := range f.waiters {
+		if f.waiters[i] == nil {
+			f.waiters[i] = w
+			return
+		}
+	}
+	if f.more == nil {
+		f.more = new([]waiter[T])
+	}
+	*f.more = append(*f.more, w)
+}
+
+// register arranges for w to fire once the value is set; if it already is,
+// w fires immediately on the caller.
+func (f *Future[T]) register(w waiter[T]) {
+	f.mu.Lock()
+	if f.done {
+		v := f.value
+		f.mu.Unlock()
+		w.ready(v)
+		return
+	}
+	f.addLocked(w)
+	f.mu.Unlock()
 }
 
 // Future returns the promise's read handle (convenience for code that holds
 // only the promise).
-func (p *Promise[T]) Future() *Future[T] { return &Future[T]{st: p.st} }
+func (p *Promise[T]) Future() *Future[T] { return &p.f }
 
 // TryGet returns the value if the future is ready.
 func (f *Future[T]) TryGet() (T, bool) {
-	st := f.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.done {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.done {
 		var zero T
 		return zero, false
 	}
-	return st.value, true
+	return f.value, true
 }
 
 // Ready reports whether the value is available.
@@ -99,18 +150,15 @@ func (f *Future[T]) Ready() bool {
 // returns it. Use from application (non-task) goroutines; inside a task
 // phase use Await, which suspends the task instead of blocking a worker.
 func (f *Future[T]) Wait() T {
-	st := f.st
-	st.mu.Lock()
-	if st.done {
-		v := st.value
-		st.mu.Unlock()
+	f.mu.Lock()
+	if f.done {
+		v := f.value
+		f.mu.Unlock()
 		return v
 	}
-	if st.ch == nil {
-		st.ch = make(chan struct{})
-	}
-	ch := st.ch
-	st.mu.Unlock()
+	ch := make(chanWaiter[T])
+	f.addLocked(ch)
+	f.mu.Unlock()
 	<-ch
 	v, _ := f.TryGet()
 	return v
@@ -118,17 +166,71 @@ func (f *Future[T]) Wait() T {
 
 // OnReady registers fn to run when the value becomes available. If the
 // future is already complete, fn runs immediately on the caller.
-func (f *Future[T]) OnReady(fn func(T)) {
-	st := f.st
-	st.mu.Lock()
-	if st.done {
-		v := st.value
-		st.mu.Unlock()
-		fn(v)
+func (f *Future[T]) OnReady(fn func(T)) { f.register(funcWaiter[T](fn)) }
+
+// join is the single allocation behind a Dataflow or WhenAll: the output
+// cell, the countdown of unready inputs and the inputs themselves. It
+// registers itself as the waiter on every input, so n edges cost no
+// allocation beyond the inputs' own waiter slots.
+type join[T, U any] struct {
+	out     Future[U]
+	pending atomic.Int32
+	deps    []*Future[T]
+	fn      func([]T) U
+	rt      *taskrt.Runtime // nil: complete inline on the last input (WhenAll)
+	opts    *[]taskrt.SpawnOption
+}
+
+// start registers j on every input, firing at once when there are none.
+// Registering the same future twice counts it twice, as it should.
+func (j *join[T, U]) start() {
+	if len(j.deps) == 0 {
+		j.fire()
 		return
 	}
-	st.callbacks = append(st.callbacks, fn)
-	st.mu.Unlock()
+	j.pending.Store(int32(len(j.deps)))
+	for _, d := range j.deps {
+		d.register(j)
+	}
+}
+
+// ready counts one input down and fires on the last.
+func (j *join[T, U]) ready(T) {
+	if j.pending.Add(-1) == 0 {
+		j.fire()
+	}
+}
+
+// fire runs once every input is set: a Dataflow spawns its task, a WhenAll
+// completes on the current goroutine.
+func (j *join[T, U]) fire() {
+	if j.rt == nil {
+		j.run(nil)
+		return
+	}
+	var opts []taskrt.SpawnOption
+	if j.opts != nil {
+		opts = *j.opts
+	}
+	j.rt.Spawn(j.run, opts...)
+}
+
+// run gathers the input values, releases the inputs and fn so the GC can
+// reclaim them while the output lives on, and sets the output. A panicking
+// fn leaves the output unset.
+func (j *join[T, U]) run(*taskrt.Context) {
+	var vs []T
+	if len(j.deps) > 0 {
+		vs = make([]T, len(j.deps))
+		for i, d := range j.deps {
+			// Every input's set happened before its countdown step, and
+			// the last step happened before this run: no lock needed.
+			vs[i] = d.value
+		}
+	}
+	fn := j.fn
+	j.deps, j.fn, j.opts = nil, nil, nil
+	j.out.set(fn(vs))
 }
 
 // Async spawns fn as a task on rt and returns the future of its result
@@ -176,28 +278,17 @@ func Then[T, U any](rt *taskrt.Runtime, f *Future[T], fn func(T) U, opts ...task
 }
 
 // WhenAll returns a future completing with all input values, in input
-// order, once every input is ready (parallel composition).
+// order, once every input is ready (parallel composition). It completes on
+// the goroutine that sets the last input. fs is retained until then and must
+// not be modified.
 func WhenAll[T any](fs []*Future[T]) *Future[[]T] {
-	p, out := NewPromise[[]T]()
-	n := len(fs)
-	if n == 0 {
-		p.Set(nil)
-		return out
-	}
-	values := make([]T, n)
-	var remaining atomic.Int64
-	remaining.Store(int64(n))
-	for i, f := range fs {
-		i, f := i, f
-		f.OnReady(func(v T) {
-			values[i] = v
-			if remaining.Add(-1) == 0 {
-				p.Set(values)
-			}
-		})
-	}
-	return out
+	j := &join[T, []T]{deps: fs, fn: identity[T]}
+	j.start()
+	return &j.out
 }
+
+// identity is WhenAll's join function.
+func identity[T any](vs []T) []T { return vs }
 
 // AnyResult carries the first-completed input of WhenAny.
 type AnyResult[T any] struct {
@@ -255,14 +346,16 @@ func When2[A, B any](fa *Future[A], fb *Future[B]) *Future[struct {
 // dependency values (hpx::dataflow). The task is created lazily — exactly
 // the construct HPX-Stencil uses to express each partition-timestep as one
 // lightweight thread whose inputs are the three neighbouring partitions of
-// the previous step.
+// the previous step. deps is retained until the task runs and must not be
+// modified; the pending node is one allocation whatever the number of deps.
 func Dataflow[T, U any](rt *taskrt.Runtime, fn func([]T) U, deps []*Future[T], opts ...taskrt.SpawnOption) *Future[U] {
-	p, out := NewPromise[U]()
-	all := WhenAll(deps)
-	all.OnReady(func(vs []T) {
-		rt.Spawn(func(*taskrt.Context) { p.Set(fn(vs)) }, opts...)
-	})
-	return out
+	j := &join[T, U]{deps: deps, fn: fn, rt: rt}
+	if len(opts) > 0 {
+		o := opts // a fresh variable, so only calls with options allocate it
+		j.opts = &o
+	}
+	j.start()
+	return &j.out
 }
 
 // Await suspends the calling task phase until f is ready, then runs cont as

@@ -2,6 +2,7 @@ package future
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -245,7 +246,6 @@ func TestAwaitChainManyPhases(t *testing.T) {
 	for i := range proms {
 		proms[i], futs[i] = NewPromise[int]()
 	}
-	started := make(chan struct{})
 	sum := make(chan int, 1)
 	var chain func(c *taskrt.Context, i, acc int)
 	chain = func(c *taskrt.Context, i, acc int) {
@@ -255,11 +255,12 @@ func TestAwaitChainManyPhases(t *testing.T) {
 		}
 		Await(c, futs[i], func(c2 *taskrt.Context, v int) { chain(c2, i+1, acc+v) })
 	}
-	rt.Spawn(func(c *taskrt.Context) {
-		close(started)
-		chain(c, 0, 0)
-	})
-	<-started
+	task := rt.Spawn(func(c *taskrt.Context) { chain(c, 0, 0) })
+	// Set the values only once the task has suspended on the first one;
+	// setting them earlier would let every Await take the ready fast path.
+	for task.State() != taskrt.Suspended {
+		runtime.Gosched()
+	}
 	for i, p := range proms {
 		p.Set(i + 1)
 	}

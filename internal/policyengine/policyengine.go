@@ -355,7 +355,10 @@ func (e *Engine) sample(ts telemetry.Sample) Sample {
 		s.IdleRate = ir
 	}
 	if acc := d.Get(counters.PendingAccesses); acc > 0 {
-		s.PendingMissRate = d.Get(counters.PendingMisses) / acc
+		// Each snapshot is ordered (misses ≤ accesses), but the interval
+		// difference of two can still pair an access read in the earlier
+		// snapshot with its miss read in the later one.
+		s.PendingMissRate = min(d.Get(counters.PendingMisses)/acc, 1)
 	}
 	if e.act.ActiveWorkers != nil {
 		s.ActiveWorkers = e.act.ActiveWorkers()

@@ -388,10 +388,12 @@ func TestMSQueuePushBatchConcurrent(t *testing.T) {
 				if !ok {
 					select {
 					case <-done:
-						if _, ok := q.Pop(); !ok {
+						// Producers have finished: one more pop decides
+						// whether the queue is drained. An element it
+						// returns is counted like any other.
+						if v, ok = q.Pop(); !ok {
 							return
 						}
-						continue
 					default:
 						continue
 					}

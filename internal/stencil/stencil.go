@@ -102,10 +102,13 @@ func heatPoint(left, middle, right, alpha float64) float64 {
 
 // heatPart computes partition's next time step from the three input
 // partitions of the previous step (left, middle, right neighbours on the
-// ring) — the body of each dataflow task.
-func heatPart(left, middle, right Partition, alpha float64) Partition {
+// ring) — the body of each dataflow task. It writes into next when next has
+// the partition's length and allocates a fresh partition otherwise.
+func heatPart(next, left, middle, right Partition, alpha float64) Partition {
 	n := len(middle)
-	next := make(Partition, n)
+	if len(next) != n {
+		next = make(Partition, n)
+	}
 	if n == 1 {
 		next[0] = heatPoint(left[len(left)-1], middle[0], right[0], alpha)
 		return next
@@ -149,6 +152,13 @@ func (s *Solution) Sum() float64 {
 // Async, then one Dataflow task per partition-timestep wired to the three
 // dependency partitions of the previous step, exactly as in 1d_stencil_4.
 // The caller must have started rt.
+//
+// Partition buffers ping-pong: step s+1's partition p is written into step
+// s−1's partition p. The only readers of (s−1,p) are (s,p−1), (s,p) and
+// (s,p+1) — exactly the dependencies of (s+1,p) — so they have all finished
+// before (s+1,p) starts, and the step s−1 future its closure holds is ready.
+// This is the deterministic free-and-reuse HPX gets from reference-counted
+// partition_data, which Go's collector would otherwise defer.
 func Run(rt *taskrt.Runtime, cfg Config) (*Solution, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -164,17 +174,26 @@ func Run(rt *taskrt.Runtime, cfg Config) (*Solution, error) {
 		initFns[p] = func() Partition { return initPartition(cfg, p) }
 	}
 	cur := future.AsyncBatch(rt, initFns)
+	var prev []*future.Future[Partition] // step s−1, nil while s = 0
 	for s := 0; s < cfg.TimeSteps; s++ {
 		next := make([]*future.Future[Partition], np)
 		for p := 0; p < np; p++ {
 			left := cur[(p-1+np)%np]
 			mid := cur[p]
 			right := cur[(p+1)%np]
+			var old *future.Future[Partition]
+			if prev != nil {
+				old = prev[p]
+			}
 			next[p] = future.Dataflow(rt, func(vs []Partition) Partition {
-				return heatPart(vs[0], vs[1], vs[2], alpha)
+				var buf Partition
+				if old != nil {
+					buf, _ = old.TryGet()
+				}
+				return heatPart(buf, vs[0], vs[1], vs[2], alpha)
 			}, []*future.Future[Partition]{left, mid, right})
 		}
-		cur = next
+		prev, cur = cur, next
 	}
 	finals := future.WhenAll(cur).Wait()
 	return &Solution{Config: cfg, Final: finals}, nil

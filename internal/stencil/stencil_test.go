@@ -269,6 +269,7 @@ func TestQuickDiffusionContracts(t *testing.T) {
 
 func BenchmarkNativeStencilMedium(b *testing.B) {
 	cfg := Config{TotalPoints: 100000, PointsPerPartition: 5000, TimeSteps: 10}
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rt := taskrt.New(taskrt.WithWorkers(2))
 		rt.Start()

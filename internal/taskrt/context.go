@@ -2,7 +2,9 @@ package taskrt
 
 // Context is passed to every task phase. It identifies the executing worker
 // and task, and provides the cooperative-scheduling operations a phase may
-// perform: spawning children and suspending into a continuation.
+// perform: spawning children and suspending into a continuation. It lives
+// inside its Task and is reset for every phase, so it is valid only during
+// the phase it was passed to.
 type Context struct {
 	rt     *Runtime
 	worker int

@@ -234,6 +234,9 @@ func (rt *Runtime) registerCounters() {
 	r.MustRegister(rt.execTotal)
 	r.MustRegister(rt.tasksRun)
 	r.MustRegister(rt.phasesRun)
+	// Each access counter registers before its miss counter: probes bump
+	// the access first, and Registry.Snapshot reads in reverse registration
+	// order, so no snapshot shows more misses than accesses.
 	r.MustRegister(rt.pc.pendingAcc)
 	r.MustRegister(rt.pc.pendingMiss)
 	r.MustRegister(rt.pc.stagedAcc)
@@ -631,10 +634,11 @@ func (rt *Runtime) runTask(w int, t *Task) {
 	}
 	rt.phasesRun.Inc(w)
 
-	ctx := Context{rt: rt, worker: w, task: t}
+	ctx := &t.ctx
+	*ctx = Context{rt: rt, worker: w, task: t}
 	rt.trace(trace.PhaseBegin, t.id, w)
 	start := time.Now()
-	panicked := rt.runPhase(t, &ctx)
+	panicked := rt.runPhase(t, ctx)
 	durNs := time.Since(start).Nanoseconds()
 	rt.execTotal.Add(w, durNs)
 	rt.durHist.Observe(durNs)
@@ -655,6 +659,7 @@ func (rt *Runtime) runTask(w int, t *Task) {
 		// Suspended, and arrive at the resume gate. If the resumer already
 		// fired (Resume raced ahead of phase end), requeue now.
 		t.fn = ctx.cont
+		ctx.cont = nil
 		t.hint = w // resume with locality: back to the suspending worker
 		t.transition(Active, Suspended)
 		rt.suspCount.Inc(w)

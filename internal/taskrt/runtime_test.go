@@ -765,3 +765,81 @@ func TestCancelledTaskCountsTowardIdleDrain(t *testing.T) {
 		t.Fatalf("cancelled tasks counted as executed: %v", nt)
 	}
 }
+
+// Snapshots taken while workers probe must never show more misses than
+// accesses, for the totals and for every per-worker instance: probes bump
+// the access counter before the miss counter, and the registry reads them
+// in the opposite order.
+func TestSnapshotMissesNeverExceedAccesses(t *testing.T) {
+	rt := New(WithWorkers(4))
+	rt.Start()
+	defer rt.Shutdown()
+	stop := make(chan struct{})
+	var spawner sync.WaitGroup
+	spawner.Add(1)
+	go func() {
+		// A trickle of tiny tasks keeps workers cycling between hits,
+		// misses, steals and short parks.
+		defer spawner.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := 0; i < 16; i++ {
+				rt.Spawn(func(*Context) {})
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	defer func() {
+		close(stop)
+		spawner.Wait()
+		rt.WaitIdle()
+	}()
+	pairs := [][2]string{
+		{counters.PendingAccesses, counters.PendingMisses},
+		{counters.StagedAccesses, counters.StagedMisses},
+	}
+	for w := 0; w < rt.Workers(); w++ {
+		pairs = append(pairs,
+			[2]string{counters.InstanceName(counters.PendingAccesses, w), counters.InstanceName(counters.PendingMisses, w)},
+			[2]string{counters.InstanceName(counters.StagedAccesses, w), counters.InstanceName(counters.StagedMisses, w)})
+	}
+	reg := rt.Counters()
+	for i := 0; i < 3000; i++ {
+		s := reg.Snapshot()
+		for _, p := range pairs {
+			if acc, miss := s.Get(p[0]), s.Get(p[1]); miss > acc {
+				t.Fatalf("snapshot %d: %s = %v > %s = %v", i, p[1], miss, p[0], acc)
+			}
+		}
+	}
+}
+
+// Spawning and running a task allocates the Task and its queue links only:
+// the phase Context lives inside the Task.
+func TestSpawnRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	// One worker, so every task takes the same staged → pending path.
+	rt := New(WithWorkers(1))
+	rt.Start()
+	defer rt.Shutdown()
+	var ran atomic.Int64
+	body := func(*Context) { ran.Add(1) }
+	got := testing.AllocsPerRun(500, func() {
+		rt.Spawn(body)
+		rt.WaitIdle()
+	})
+	t.Logf("Spawn+run: %.2f allocs", got)
+	// One Task, one staged-queue link, one pending-queue link.
+	if got > 3 {
+		t.Fatalf("Spawn+run = %.2f allocs, want <= 3", got)
+	}
+	if ran.Load() == 0 {
+		t.Fatal("no task ran")
+	}
+}

@@ -119,6 +119,10 @@ type Task struct {
 	// onDone, when set (by Group), runs exactly once when the task reaches
 	// Terminated — whether it completed, panicked, or was cancelled.
 	onDone func(*Task)
+
+	// ctx is the Context of the current phase, reset as each phase starts
+	// so running a phase allocates nothing.
+	ctx Context
 }
 
 // notifyDone invokes the termination callback, if any.
