@@ -5,7 +5,7 @@
 //	curl localhost:8090/counters?prefix=/threads/count
 //	curl localhost:8090/counter/threads/idle-rate
 //	curl localhost:8090/histogram/threads/time/phase-duration-histogram
-//	curl localhost:8090/metrics          # Prometheus exposition
+//	curl localhost:8090/metrics          # OpenMetrics exposition
 package main
 
 import (

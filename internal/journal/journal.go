@@ -124,7 +124,7 @@ type Journal struct {
 
 	// Stats, exported for telemetry counters.
 	appends        atomic.Int64
-	appendsBatched atomic.Int64 // records that arrived via AppendBatch
+	appendsBatched atomic.Int64 // records that shared a write with others
 	fsyncs         atomic.Int64
 	lastGroup      atomic.Int64 // records covered by the most recent group commit
 	torn           atomic.Int64 // torn-tail truncations performed at Open
@@ -188,55 +188,11 @@ func (j *Journal) openSegmentLocked(firstLSN LSN) error {
 	return syncDir(j.dir)
 }
 
-// Append writes one framed record and returns its LSN. Durability on return
-// follows the fsync policy: guaranteed under always, within FsyncInterval
-// under interval, at the OS's leisure under none.
+// Append writes one framed record and returns its LSN: a batch of one.
+// Durability on return follows the fsync policy: guaranteed under always,
+// within FsyncInterval under interval, at the OS's leisure under none.
 func (j *Journal) Append(payload []byte) (LSN, error) {
-	if len(payload) == 0 || len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("journal: record size %d out of (0,%d]", len(payload), maxRecordBytes)
-	}
-	if j.killed.Load() {
-		return 0, ErrKilled
-	}
-	frame := EncodeRecord(payload)
-
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if j.killed.Load() { // re-check under the lock; Kill wins races
-		j.mu.Unlock()
-		return 0, ErrKilled
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		j.mu.Unlock()
-		return 0, fmt.Errorf("journal: %w", err)
-	}
-	lsn := j.next
-	j.next++
-	j.appended = lsn
-	j.segSize += int64(len(frame))
-	j.appends.Add(1)
-
-	if j.opts.Fsync == FsyncAlways {
-		if err := j.f.Sync(); err != nil {
-			j.mu.Unlock()
-			return 0, fmt.Errorf("journal: %w", err)
-		}
-		j.fsyncs.Add(1)
-		j.lastGroup.Store(int64(lsn - j.durable))
-		j.durable = lsn
-	}
-	var rotateErr error
-	if j.segSize >= j.opts.SegmentBytes {
-		rotateErr = j.rotateLocked()
-	}
-	j.mu.Unlock()
-	if rotateErr != nil {
-		return lsn, rotateErr
-	}
-	return lsn, nil
+	return j.AppendBatch([][]byte{payload})
 }
 
 // AppendBatch writes a batch of framed records under one lock acquisition
@@ -262,9 +218,10 @@ func (j *Journal) AppendBatch(payloads [][]byte) (LSN, error) {
 	// One contiguous frame buffer: the batch reaches the kernel as a single
 	// write, so a torn tail can only ever split the batch at a record
 	// boundary plus at most one torn record — exactly what recovery handles.
-	buf := make([]byte, 0, total)
+	buf := make([]byte, total)
+	off := 0
 	for _, p := range payloads {
-		buf = append(buf, EncodeRecord(p)...)
+		off += putRecord(buf[off:], p)
 	}
 
 	j.mu.Lock()
@@ -285,7 +242,9 @@ func (j *Journal) AppendBatch(payloads [][]byte) (LSN, error) {
 	j.appended = j.next - 1
 	j.segSize += int64(total)
 	j.appends.Add(int64(len(payloads)))
-	j.appendsBatched.Add(int64(len(payloads)))
+	if len(payloads) > 1 {
+		j.appendsBatched.Add(int64(len(payloads)))
+	}
 
 	if j.opts.Fsync == FsyncAlways {
 		if err := j.f.Sync(); err != nil {
@@ -501,9 +460,9 @@ func (j *Journal) LastLSN() LSN {
 // Appends returns how many records have been appended.
 func (j *Journal) Appends() int64 { return j.appends.Load() }
 
-// AppendsBatched returns how many records arrived via AppendBatch — records
-// whose frame write (and, under always, whose fsync) was shared with the
-// rest of their batch.
+// AppendsBatched returns how many records shared their frame write (and,
+// under always, their fsync) with the rest of a multi-record batch; a
+// single Append is a batch of one and never counts.
 func (j *Journal) AppendsBatched() int64 { return j.appendsBatched.Load() }
 
 // Fsyncs returns how many fsyncs have been issued.
@@ -520,10 +479,16 @@ func (j *Journal) TornTruncations() int64 { return j.torn.Load() }
 // EncodeRecord frames one payload: length, CRC32C, payload.
 func EncodeRecord(payload []byte) []byte {
 	frame := make([]byte, headerBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerBytes:], payload)
+	putRecord(frame, payload)
 	return frame
+}
+
+// putRecord frames payload into the front of dst, which must hold
+// headerBytes+len(payload) bytes, and returns the bytes written.
+func putRecord(dst, payload []byte) int {
+	binary.LittleEndian.PutUint32(dst[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[4:8], crc32.Checksum(payload, castagnoli))
+	return headerBytes + copy(dst[headerBytes:], payload)
 }
 
 // DecodeRecord parses one frame from the front of b, returning the payload

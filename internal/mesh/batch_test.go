@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -260,5 +261,86 @@ func TestMeshBatchUnwindsOnClientCancel(t *testing.T) {
 	}
 	if jobs := m.jobs.list(); len(jobs) != 0 {
 		t.Fatalf("canceled batch retained %d gateway jobs", len(jobs))
+	}
+}
+
+// TestMeshBatchReplaysUndecodableAccept: a batch item answered 202 without a
+// decodable id was admitted by that node — the gateway must replay the item
+// on the same node (its idempotency key turns the retry into a lookup)
+// instead of answering 502 and orphaning the admitted run. The replay is an
+// attempt, not a spill.
+func TestMeshBatchReplaysUndecodableAccept(t *testing.T) {
+	flaky := newFakeNode(t)
+	other := newFakeNode(t)
+	flaky.set(func(f *fakeNode) {
+		f.counters = map[string]float64{"/server/jobs/queued": 0}
+		f.batchFn = func(w http.ResponseWriter, r *http.Request) {
+			var req struct {
+				Jobs []map[string]any `json:"jobs"`
+			}
+			_ = json.NewDecoder(r.Body).Decode(&req)
+			call := f.batches.Load()
+			results := make([]map[string]any, len(req.Jobs))
+			for i := range req.Jobs {
+				view := map[string]any{"state": "queued"}
+				if call > 1 || i == 0 { // item 1 of the first call has no id
+					view["id"] = fmt.Sprintf("b-%d-%d", call, i)
+				}
+				results[i] = map[string]any{"status": http.StatusAccepted, "job": view}
+			}
+			writeJSON(w, http.StatusAccepted, map[string]any{
+				"admitted": len(req.Jobs), "shed": 0, "results": results,
+			})
+		}
+	})
+	other.set(func(f *fakeNode) {
+		f.counters = map[string]float64{"/server/jobs/queued": 5}
+	})
+
+	cfg := testMeshConfig(flaky.ts.URL, other.ts.URL)
+	cfg.RoutePolicy = config.MeshPolicyLeastInflight
+	m, gw := startMesh(t, cfg)
+	waitRoutable(t, m, "fibonacci", 2)
+
+	resp, out := postMeshBatch(t, gw.URL, fibBatch(2))
+	if resp.StatusCode != http.StatusAccepted || out.Admitted != 2 {
+		t.Fatalf("batch through replay: %d %+v", resp.StatusCode, out)
+	}
+	for i, r := range out.Results {
+		mesh, _ := r.Job["mesh"].(map[string]any)
+		if r.Status != http.StatusAccepted || mesh == nil || mesh["node"] != flaky.name() || mesh["spills"] != float64(0) {
+			t.Fatalf("item %d = %+v, want 202 on the admitting node with 0 spills", i, r)
+		}
+	}
+	if flaky.batches.Load() != 2 || other.batches.Load() != 0 {
+		t.Fatalf("batches: flaky %d other %d, want a same-node replay (2 and 0)",
+			flaky.batches.Load(), other.batches.Load())
+	}
+	if got := m.Counters().Snapshot()[nodeCounter(flaky.name(), "spills")]; got != 0 {
+		t.Fatalf("same-node replay counted %v spills", got)
+	}
+}
+
+// TestMeshBatchCountersIgnoreSingleSubmit: POST /v1/jobs runs the same
+// placement loop as the batch endpoint but must not move its counters.
+func TestMeshBatchCountersIgnoreSingleSubmit(t *testing.T) {
+	n := newFakeNode(t)
+	m, gw := startMesh(t, testMeshConfig(n.ts.URL))
+	waitRoutable(t, m, "fibonacci", 1)
+
+	if resp, body := postJob(t, gw.URL, `{"kind":"fibonacci","size":10}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("single submit: %d %v", resp.StatusCode, body)
+	}
+	if n.submits.Load() != 1 || n.batches.Load() != 0 {
+		t.Fatalf("node saw %d submits and %d batches, want 1 and 0", n.submits.Load(), n.batches.Load())
+	}
+	snap := m.Counters().Snapshot()
+	if snap["/mesh/jobs/submitted"] != 1 {
+		t.Fatalf("/mesh/jobs/submitted = %v, want 1", snap["/mesh/jobs/submitted"])
+	}
+	for _, name := range []string{"/mesh/batch/forwarded", "/mesh/batch/split-factor"} {
+		if snap[name] != 0 {
+			t.Fatalf("%s = %v after a single submit, want 0", name, snap[name])
+		}
 	}
 }

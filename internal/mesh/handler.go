@@ -60,14 +60,14 @@ func (m *Mesh) Handler() http.Handler {
 			writeError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		m.serveMetrics(w, telemetry.PointsFromRegistry(m.reg, map[string]string{"node": m.cfg.Addr}))
+		telemetry.ServeOpenMetrics(w, telemetry.PointsFromRegistry(m.reg, map[string]string{"node": m.cfg.Addr}))
 	})
 	mux.HandleFunc("/mesh/metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, "use GET")
 			return
 		}
-		m.serveMetrics(w, m.clusterPoints())
+		telemetry.ServeOpenMetrics(w, m.clusterPoints())
 	})
 	mux.HandleFunc("/control/decisions", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -101,18 +101,6 @@ func (m *Mesh) Handler() http.Handler {
 	})
 	mux.Handle("/debug/", http.StripPrefix("/debug", introspect.NewHandler(m.reg)))
 	return mux
-}
-
-// serveMetrics renders points as an OpenMetrics exposition, buffering so an
-// encoding error can still become a clean 500 instead of a torn response.
-func (m *Mesh) serveMetrics(w http.ResponseWriter, points []telemetry.MetricPoint) {
-	var buf bytes.Buffer
-	if err := telemetry.WriteOpenMetrics(&buf, points); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_, _ = w.Write(buf.Bytes())
 }
 
 // clusterPoints assembles the /mesh/metrics exposition: the gateway's own

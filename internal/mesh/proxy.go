@@ -78,173 +78,30 @@ func parseRetryAfter(v string) time.Duration {
 	return 0
 }
 
-// submit admits one job into the mesh: parse the spec far enough to route
-// it, stamp an idempotency key, mint (or adopt) the job's trace context, and
-// run the spillover placement loop. parent is the client's incoming trace
-// context — when valid the job joins that trace as a child span, otherwise
-// the gateway roots a fresh one. ctx is the client request's context: a
-// client that hangs up mid-placement unwinds the loop instead of serving out
-// the remaining backoff. It returns the HTTP status, the response payload for
-// the client, and the Retry-After hint to relay when the whole mesh shed.
+// submit admits one job into the mesh: parse the spec, mint the gateway job
+// (idempotency key, trace span), and run the placement loop with it as a
+// batch of one. parent is the client's incoming trace context. ctx is the
+// client request's context: a client that hangs up mid-placement unwinds the
+// loop instead of serving out the remaining backoff. It returns the HTTP
+// status, the response payload for the client, and the Retry-After hint to
+// relay when the whole mesh shed.
 func (m *Mesh) submit(ctx context.Context, raw []byte, parent trace.SpanContext) (int, any, time.Duration) {
 	var spec map[string]any
 	if err := json.Unmarshal(raw, &spec); err != nil {
 		return http.StatusBadRequest, errBody(fmt.Sprintf("bad job spec: %v", err)), 0
 	}
-	kind, _ := spec["kind"].(string)
-
-	key, _ := spec["idempotency_key"].(string)
-	job := m.jobs.add(kind, key, nil)
-	if key == "" {
-		// Mesh-scoped key: failover resubmission replays instead of
-		// re-running if the suspect node turns out to be alive.
-		key = fmt.Sprintf("mesh-%s-%s", m.id, job.id)
-	}
-	spec["idempotency_key"] = key
-	span := trace.NewSpanContext()
-	if parent.Valid() {
-		span = parent.Child()
-	}
-	body, err := json.Marshal(spec)
+	it, err := m.mint(spec, parent)
 	if err != nil {
-		m.jobs.remove(job.id)
-		return http.StatusBadRequest, errBody(fmt.Sprintf("bad job spec: %v", err)), 0
+		return http.StatusBadRequest, errBody(err.Error()), 0
 	}
-	job.mu.Lock()
-	job.key, job.spec, job.span = key, body, span
-	job.mu.Unlock()
-
-	resp, placed := m.placeJob(ctx, job, 0, false)
-	if !placed {
-		m.jobs.remove(job.id)
+	m.place(ctx, []*placement{it}, false, 0, false)
+	if it.view == nil {
+		m.jobs.remove(it.job.id)
 		m.rejected.Inc()
-		return resp.status, resp.body, resp.retryAfter
+		return it.refusal.status, it.refusal.body, it.refusal.retryAfter
 	}
 	m.submitted.Inc()
-	return http.StatusAccepted, m.augment(resp.body, job), 0
-}
-
-// placeJob runs the spillover loop for one job: rank the routable nodes for
-// the job's kind, try each best-first, and between passes honour the
-// smallest Retry-After hint seen (jittered, capped by MaxBackoff) — bounded
-// by MaxSubmitAttempts node tries in total (a pass that finds no routable
-// nodes consumes an attempt too, so the bound holds when the whole mesh is
-// down or draining). placed reports whether some
-// node admitted the job; when false the response describes the terminal
-// refusal for the client (mesh-level 503, or a node's own 4xx relayed
-// verbatim, which also ends the loop — a spec rejection will not get better
-// on another node). A canceled ctx ends the loop early with the last refusal;
-// failover passes context.Background() because a poller hanging up must never
-// abort the re-placement of a job that is already admitted.
-func (m *Mesh) placeJob(ctx context.Context, job *meshJob, fromEpoch int, isFailover bool) (nodeResponse, bool) {
-	attempts := 0
-	lastRefusal := nodeResponse{
-		status: http.StatusServiceUnavailable,
-		body:   errBody("no routable mesh nodes"),
-	}
-	for {
-		hint := time.Duration(0)
-		ranked := m.router.rank(job.kind)
-		if len(ranked) == 0 {
-			// Every node is down or draining. The empty pass still consumes
-			// an attempt — otherwise nothing would ever increment attempts
-			// and the loop would spin in backoff forever, wedging the
-			// client's POST (and, via failover, the job's failoverMu). The
-			// inter-pass backoff below gives heartbeats a chance to revive a
-			// node before the budget runs out.
-			attempts++
-			lastRefusal = nodeResponse{
-				status: http.StatusServiceUnavailable,
-				body:   errBody("no routable mesh nodes"),
-			}
-		}
-		for i := 0; i < len(ranked) && attempts < m.cfg.MaxSubmitAttempts; {
-			n := ranked[i]
-			attempts++
-			tryCtx, cancel := context.WithTimeout(ctx, m.cfg.RequestTimeout)
-			// Each hop gets its own child span of the job's root context, so
-			// the node-side trace_context distinguishes retries of the same
-			// job while sharing one trace ID.
-			resp, err := m.doJSON(tryCtx, http.MethodPost, n.base+"/v1/jobs", job.spec, job.traceSpan().Child())
-			cancel()
-			switch {
-			case err != nil:
-				if ctx.Err() != nil {
-					// The client hung up: the failure is ours, not the
-					// node's, so it is not marked unreachable. Unwind with
-					// the last refusal rather than burning the remaining
-					// attempts against a context every try will fail.
-					lastRefusal.retryAfter = maxDuration(hint, time.Second)
-					return lastRefusal, false
-				}
-				n.markUnreachable(m.cfg.DownAfter)
-				m.noteSpill(n, job)
-				i++
-			case resp.status == http.StatusAccepted:
-				id, _ := resp.body["id"].(string)
-				if id == "" {
-					// The node admitted a job but the reply carried no
-					// decodable ID. Re-placing elsewhere would orphan that
-					// admitted run, so replay the *same* node — the
-					// idempotency key turns the retry into a lookup of the
-					// job the node already holds — until the attempt budget
-					// runs out, at which point the anomaly is surfaced.
-					lastRefusal = nodeResponse{
-						status: http.StatusBadGateway,
-						body: errBody(fmt.Sprintf(
-							"node %s admitted the job but returned no id", n.name)),
-					}
-					continue
-				}
-				if !job.place(n, id, fromEpoch, isFailover) {
-					// A concurrent failover re-placed the job first. The
-					// idempotency key makes this submission a replay, not a
-					// duplicate run, only if it landed on the same node —
-					// placements are serialized by failoverMu precisely so
-					// this branch stays unreachable; it is kept as a guard.
-					return resp, true
-				}
-				if m.wal != nil {
-					m.journalPlace(job)
-				}
-				hop := trace.Route
-				if isFailover {
-					hop = trace.FailoverHop
-				}
-				m.traceHop(hop, n, job)
-				m.traceSpan(trace.PhaseBegin, n, job)
-				n.routed.Inc()
-				return resp, true
-			case resp.status == http.StatusTooManyRequests || resp.status == http.StatusServiceUnavailable:
-				// The shed path this whole loop exists for: spill over to
-				// the next-best node, remembering the backoff hint.
-				m.noteSpill(n, job)
-				if resp.retryAfter > 0 && (hint == 0 || resp.retryAfter < hint) {
-					hint = resp.retryAfter
-				}
-				lastRefusal = nodeResponse{
-					status: http.StatusServiceUnavailable,
-					body:   errBody(fmt.Sprintf("all mesh nodes shed (last: %s with %d)", n.name, resp.status)),
-				}
-				i++
-			default:
-				// Spec-level rejection (4xx): every node would refuse it the
-				// same way. Relay verbatim.
-				if resp.body == nil {
-					resp.body = errBody(fmt.Sprintf("node %s refused with %d", n.name, resp.status))
-				}
-				return resp, false
-			}
-		}
-		if attempts >= m.cfg.MaxSubmitAttempts {
-			lastRefusal.retryAfter = maxDuration(hint, time.Second)
-			return lastRefusal, false
-		}
-		if !m.backoff(ctx, hint) {
-			lastRefusal.retryAfter = maxDuration(hint, time.Second)
-			return lastRefusal, false
-		}
-	}
+	return http.StatusAccepted, m.augment(it.view, it.job), 0
 }
 
 // noteSpill accounts one bounced submission attempt against a node.
@@ -418,9 +275,9 @@ func (m *Mesh) failover(job *meshJob, fromEpoch int) bool {
 	if old != nil {
 		old.markUnreachable(m.cfg.DownAfter)
 	}
-	resp, placed := m.placeJob(context.Background(), job, fromEpoch, true)
-	_ = resp
-	if !placed {
+	it := &placement{job: job, refusal: noRoute()}
+	m.place(context.Background(), []*placement{it}, false, fromEpoch, true)
+	if it.view == nil {
 		return false
 	}
 	if old != nil {

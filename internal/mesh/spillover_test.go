@@ -315,3 +315,18 @@ func TestMeshSubmitStampsIdempotencyKey(t *testing.T) {
 		t.Fatalf("idempotency keys = %v", keys)
 	}
 }
+
+// TestMeshSubmitRejectsNullSpec: a JSON null body decodes without error into
+// a nil spec; it must be refused with 400, not reach a node or the store.
+func TestMeshSubmitRejectsNullSpec(t *testing.T) {
+	n := newFakeNode(t)
+	m, gw := startMesh(t, testMeshConfig(n.ts.URL))
+
+	resp, body := postJob(t, gw.URL, `null`)
+	if resp.StatusCode != http.StatusBadRequest || body["error"] != "null job spec" {
+		t.Fatalf("null spec: %d %v, want 400 null job spec", resp.StatusCode, body)
+	}
+	if n.submits.Load() != 0 || len(m.jobs.list()) != 0 {
+		t.Fatalf("null spec reached the node (%d submits) or the store (%d jobs)", n.submits.Load(), len(m.jobs.list()))
+	}
+}

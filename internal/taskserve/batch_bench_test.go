@@ -43,6 +43,7 @@ func BenchmarkX15BatchSubmit(b *testing.B) {
 			}()
 
 			body := []byte(fibBatchBody(size, ""))
+			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n += size {
 				resp, err := http.Post(ts.URL+"/v1/jobs/batch", "application/json", bytes.NewReader(body))

@@ -281,3 +281,26 @@ func TestBatchCrashRestartReplaysExactlyAdmittedPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchCountersIgnoreSingleSubmit: POST /v1/jobs runs the same admission
+// core as the batch endpoint, but /server/batch/* count only batch requests.
+func TestBatchCountersIgnoreSingleSubmit(t *testing.T) {
+	s, ts := newTestServer(t, testConfig())
+	spec := JobSpec{Kind: KindFibonacci, Size: 10, IdempotencyKey: "single-0"}
+	for i := 0; i < 2; i++ { // the second post replays by key
+		if resp, v := postJob(t, ts.URL, spec); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("single submit %d: status %d", i, resp.StatusCode)
+		} else if st := waitTerminal(t, s, v.ID); st != JobDone {
+			t.Fatalf("single job %s = %s, want done", v.ID, st)
+		}
+	}
+	snap := s.rt.Counters().Snapshot()
+	if snap["/server/jobs/submitted"] != 1 {
+		t.Fatalf("/server/jobs/submitted = %v, want 1", snap["/server/jobs/submitted"])
+	}
+	for _, name := range []string{"/server/batch/submitted", "/server/batch/jobs", "/server/batch/partial-sheds"} {
+		if snap[name] != 0 {
+			t.Fatalf("%s = %v after single submits, want 0", name, snap[name])
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package taskserve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -83,14 +82,7 @@ func (s *Server) Handler() http.Handler {
 // handleMetrics renders every registered counter as OpenMetrics text, the
 // node's own listen address as the node label.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b bytes.Buffer
-	pts := telemetry.PointsFromRegistry(s.rt.Counters(), map[string]string{"node": s.cfg.Addr})
-	if err := telemetry.WriteOpenMetrics(&b, pts); err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_, _ = b.WriteTo(w)
+	telemetry.ServeOpenMetrics(w, telemetry.PointsFromRegistry(s.rt.Counters(), map[string]string{"node": s.cfg.Addr}))
 }
 
 // handleControlDecisions serves the control plane's decision log: the mode
@@ -185,23 +177,45 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// decodeBody decodes a size-bounded JSON request body, refusing unknown
+// fields so a misspelled knob is an error rather than a silent default.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// traceHeader returns the request's Taskgrain-Trace context, "" when absent
+// or malformed — a bad header leaves the job untraced rather than failing
+// the submission.
+func traceHeader(r *http.Request) string {
+	if sc, ok := trace.ParseSpanContext(r.Header.Get(trace.Header)); ok {
+		return sc.String()
+	}
+	return ""
+}
+
+// prepareSpec is the per-item step both submit endpoints share. The
+// Taskgrain-Trace header is the canonical carrier of the cross-hop trace
+// identity (the gateway sets it on every single-job hop), so a valid header
+// overrides any body-carried context; a gateway forwarding a batch sends no
+// header and embeds per-item contexts instead.
+func (s *Server) prepareSpec(spec JobSpec, header string) (JobSpec, error) {
+	if header != "" {
+		spec.TraceContext = header
+	}
+	spec = spec.withDefaults()
+	return spec, spec.Validate(s.cfg.MaxJobSize)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeBody(w, r, maxBodyBytes, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad job spec: %v", err))
 		return
 	}
-	// The Taskgrain-Trace header is the canonical carrier of the cross-hop
-	// trace identity (the gateway sets it on every forwarded hop); a valid
-	// header overrides any body-carried context. Malformed headers leave
-	// the job untraced rather than failing the submission.
-	if sc, ok := trace.ParseSpanContext(r.Header.Get(trace.Header)); ok {
-		spec.TraceContext = sc.String()
-	}
-	spec = spec.withDefaults()
-	if err := spec.Validate(s.cfg.MaxJobSize); err != nil {
+	spec, err := s.prepareSpec(spec, traceHeader(r))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -233,9 +247,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Jobs []JobSpec `json:"jobs"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, maxBatchBodyBytes, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad batch: %v", err))
 		return
 	}
@@ -249,21 +261,13 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The trace header covers items that carry no body trace_context of
-	// their own — a gateway forwarding a batch embeds per-item contexts in
-	// the specs, while a plain client's single header traces the whole batch.
-	headerSC, headerOK := trace.ParseSpanContext(r.Header.Get(trace.Header))
-
+	header := traceHeader(r)
 	items := make([]batchItemView, len(req.Jobs))
 	valid := make([]int, 0, len(req.Jobs))
 	specs := make([]JobSpec, 0, len(req.Jobs))
 	for i := range req.Jobs {
-		spec := req.Jobs[i]
-		if headerOK && spec.TraceContext == "" {
-			spec.TraceContext = headerSC.String()
-		}
-		spec = spec.withDefaults()
-		if err := spec.Validate(s.cfg.MaxJobSize); err != nil {
+		spec, err := s.prepareSpec(req.Jobs[i], header)
+		if err != nil {
 			items[i] = batchItemView{Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}

@@ -232,21 +232,11 @@ func (s *Server) journalAppend(rec walRecord) error {
 	return err
 }
 
-// journalAdmit persists a job before its 202 is issued.
-func (s *Server) journalAdmit(job *Job) error {
-	spec, deadline, _, _, _ := job.journalState()
-	var dl int64
-	if !deadline.IsZero() {
-		dl = deadline.UnixNano()
-	}
-	return s.journalAppend(walRecord{T: walAdmit, ID: job.ID(), Spec: &spec, Deadline: dl})
-}
-
-// journalAdmitBatch persists a batch of admissions as one vectored append:
-// every record shares a single frame write and — under the always policy — a
-// single fsync, so the durability cost of N admitted jobs is one group
-// commit. Like journalAdmit it must succeed before any of the batch's 202s
-// go out.
+// journalAdmitBatch persists a batch of admissions — a single job is a batch
+// of one — as one vectored append: every record shares a single frame write
+// and, under the always policy, a single fsync, so the durability cost of N
+// admitted jobs is one group commit. It must succeed before any of the
+// batch's 202s go out.
 func (s *Server) journalAdmitBatch(jobs []*Job) error {
 	payloads := make([][]byte, 0, len(jobs))
 	for _, job := range jobs {

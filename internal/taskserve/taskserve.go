@@ -314,8 +314,9 @@ func (s *Server) Start() {
 	}
 }
 
-// Submit validates, admits, and enqueues one job. It returns the stored job,
-// or a shedError describing why the submission was refused.
+// Submit validates, admits, and enqueues one job: the batch admission core
+// with a batch of one. It returns the stored job, or a shedError describing
+// why the submission was refused.
 //
 // A spec carrying an idempotency key replays rather than re-executes: if a
 // retained job was already admitted under the same key, that job is returned
@@ -323,79 +324,9 @@ func (s *Server) Start() {
 // resubmitting after a suspected node death never double-runs work the node
 // in fact still holds.
 func (s *Server) Submit(spec JobSpec) (*Job, *shedError) {
-	spec = spec.withDefaults()
-	if j, ok := s.store.getByKey(spec.IdempotencyKey); ok {
-		return j, nil
-	}
-	if s.draining.Load() {
-		s.shed.Inc()
-		return nil, &shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}
-	}
-	if se := s.adm.check(); se != nil {
-		s.shed.Inc()
-		return nil, se
-	}
-
-	var deadline time.Time
-	d := time.Duration(spec.DeadlineMillis) * time.Millisecond
-	if d == 0 {
-		d = s.cfg.DefaultDeadline
-	}
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	job, dup := s.store.add(spec, deadline)
-	if dup {
-		// A concurrent submission with the same idempotency key won the
-		// store race; hand its job back instead of enqueueing a second run.
-		return job, nil
-	}
-
-	// The admit record must be durable-bound before the 202 goes out: an
-	// acknowledged job that the journal never saw would vanish in a crash,
-	// which is precisely the ledger violation the journal exists to prevent.
-	if s.wal != nil {
-		if err := s.journalAdmit(job); err != nil {
-			s.store.remove(job.ID())
-			s.shed.Inc()
-			return nil, &shedError{status: 503, reason: "journal unavailable", retryAfter: s.cfg.RetryAfter}
-		}
-	}
-
-	// The admission check and this send race against concurrent submitters
-	// and Drain; the mutex-guarded non-blocking send is the backstop that
-	// keeps the queue bound exact and never blocks a request handler.
-	s.queueMu.Lock()
-	if s.draining.Load() {
-		s.queueMu.Unlock()
-		s.store.remove(job.ID())
-		if s.wal != nil {
-			s.journalDrop(job.ID())
-		}
-		s.shed.Inc()
-		return nil, &shedError{status: 503, reason: "draining", retryAfter: s.cfg.RetryAfter}
-	}
-	select {
-	case s.queue <- job:
-		s.queueMu.Unlock()
-	default:
-		s.queueMu.Unlock()
-		s.store.remove(job.ID())
-		if s.wal != nil {
-			s.journalDrop(job.ID())
-		}
-		s.shed.Inc()
-		return nil, &shedError{
-			status:     429,
-			reason:     fmt.Sprintf("job queue full (limit %d)", s.cfg.MaxQueuedJobs),
-			retryAfter: s.cfg.RetryAfter,
-		}
-	}
-	s.submitted.Inc()
-	if spec.TraceContext != "" {
-		s.traced.Inc()
-	}
-	return job, nil
+	var res [1]batchItem
+	s.admit([]JobSpec{spec}, res[:])
+	return res[0].job, res[0].shed
 }
 
 // Job looks up a job by ID.

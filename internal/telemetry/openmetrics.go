@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,6 +167,18 @@ func WriteOpenMetrics(w io.Writer, points []MetricPoint) error {
 	}
 	fmt.Fprint(bw, "# EOF\n")
 	return bw.Flush()
+}
+
+// ServeOpenMetrics writes points as an OpenMetrics response, buffering so
+// an encoding error can still become a clean 500 instead of a torn response.
+func ServeOpenMetrics(w http.ResponseWriter, points []MetricPoint) {
+	var buf bytes.Buffer
+	if err := WriteOpenMetrics(&buf, points); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", ContentType)
+	_, _ = buf.WriteTo(w)
 }
 
 // labelString renders a label set as {k="v",...}, keys sorted, values
